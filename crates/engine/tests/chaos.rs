@@ -14,9 +14,12 @@
 //! plans for seeds {1..5} (or just the seed of the ambient
 //! `GRAPHHD_FAULTS` when CI's chaos matrix sets one). Engines are
 //! always **fitted before faults are armed** — training runs on the
-//! same pool the `pool.region` fail point cuts.
+//! same pool the `pool.region` fail point cuts. Every test holds one
+//! [`FaultGuard`] for its whole body, so fitting and the fault-free
+//! phases never run under a sibling test's plan.
 
 use engine::{Engine, EngineStats};
+use faultpoint::FaultGuard;
 use graphcore::Graph;
 use graphhd::Error;
 use std::time::{Duration, Instant};
@@ -89,6 +92,7 @@ fn drive(
 
 #[test]
 fn dispatcher_panics_are_supervised_and_no_submitter_is_stranded() {
+    let faults = FaultGuard::acquire();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -100,10 +104,11 @@ fn dispatcher_panics_are_supervised_and_no_submitter_is_stranded() {
             .expect("valid inputs");
         let expected: Vec<u32> = graphs.iter().map(|g| engine.model().predict(g)).collect();
 
-        let guard = faultpoint::configure(&format!("seed={seed};engine.dispatch=30%panic"))
+        faults
+            .arm(&format!("seed={seed};engine.dispatch=30%panic"))
             .expect("valid spec");
         let outcomes = drive(&engine, &graphs, 3, 20);
-        drop(guard);
+        faults.disarm();
 
         let mut failed = 0u64;
         for outcome in &outcomes {
@@ -137,6 +142,7 @@ fn dispatcher_panics_are_supervised_and_no_submitter_is_stranded() {
 
 #[test]
 fn injected_dispatch_errors_fail_batches_without_restarting() {
+    let faults = FaultGuard::acquire();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -146,10 +152,11 @@ fn injected_dispatch_errors_fail_batches_without_restarting() {
             .fit(&graphs, &labels, 2)
             .expect("valid inputs");
 
-        let guard = faultpoint::configure(&format!("seed={seed};engine.dispatch=50%error"))
+        faults
+            .arm(&format!("seed={seed};engine.dispatch=50%error"))
             .expect("valid spec");
         let outcomes = drive(&engine, &graphs, 3, 15);
-        drop(guard);
+        faults.disarm();
 
         let failed = outcomes
             .iter()
@@ -175,6 +182,7 @@ fn injected_dispatch_errors_fail_batches_without_restarting() {
 
 #[test]
 fn slow_dispatch_expires_deadlined_requests_exactly() {
+    let faults = FaultGuard::acquire();
     let (graphs, labels) = workload();
     let engine = Engine::builder()
         .dim(256)
@@ -185,7 +193,9 @@ fn slow_dispatch_expires_deadlined_requests_exactly() {
 
     // Every batch stalls 25 ms behind a 5 ms deadline: the dispatch-time
     // re-check must expire queue-aged requests without scoring them.
-    let guard = faultpoint::configure("seed=1;engine.dispatch=delay(25)").expect("valid spec");
+    faults
+        .arm("seed=1;engine.dispatch=delay(25)")
+        .expect("valid spec");
     let outcomes: Vec<Result<u32, Error>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|submitter: usize| {
@@ -208,7 +218,7 @@ fn slow_dispatch_expires_deadlined_requests_exactly() {
             .flat_map(|handle| handle.join().expect("submitter never stranded"))
             .collect()
     });
-    drop(guard);
+    faults.disarm();
 
     let expired = outcomes
         .iter()
@@ -235,6 +245,7 @@ fn slow_dispatch_expires_deadlined_requests_exactly() {
 
 #[test]
 fn pool_region_crashes_are_contained_to_their_batch() {
+    let faults = FaultGuard::acquire();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -245,10 +256,11 @@ fn pool_region_crashes_are_contained_to_their_batch() {
             .fit(&graphs, &labels, 2)
             .expect("valid inputs");
 
-        let guard = faultpoint::configure(&format!("seed={seed};pool.region=25%panic"))
+        faults
+            .arm(&format!("seed={seed};pool.region=25%panic"))
             .expect("valid spec");
         let outcomes = drive(&engine, &graphs, 3, 15);
-        drop(guard);
+        faults.disarm();
 
         assert!(
             outcomes
@@ -270,6 +282,7 @@ fn pool_region_crashes_are_contained_to_their_batch() {
 
 #[test]
 fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
+    let faults = FaultGuard::acquire();
     let (graphs, labels) = workload();
     let engine = Engine::builder()
         .dim(256)
@@ -279,7 +292,9 @@ fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
         .fit(&graphs, &labels, 2)
         .expect("valid inputs");
 
-    let guard = faultpoint::configure("seed=1;engine.dispatch=panic").expect("valid spec");
+    faults
+        .arm("seed=1;engine.dispatch=panic")
+        .expect("valid spec");
     // Every batch crashes: after the budget (2 restarts + the final
     // crash) the supervisor poisons the engine. Keep submitting until
     // the poisoned refusal arrives.
@@ -296,7 +311,7 @@ fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
             Err(other) => panic!("unexpected error {other:?}"),
         }
     }
-    drop(guard);
+    faults.disarm();
 
     assert!(engine.is_poisoned());
     // Fail-fast: a poisoned engine answers immediately, not after a
@@ -318,6 +333,7 @@ fn exhausted_restart_budget_poisons_the_engine_and_fails_fast() {
 
 #[test]
 fn mixed_faults_at_every_engine_fail_point_reconcile_across_seeds() {
+    let faults = FaultGuard::acquire();
     let (graphs, labels) = workload();
     for seed in seeds() {
         let engine = Engine::builder()
@@ -333,7 +349,7 @@ fn mixed_faults_at_every_engine_fail_point_reconcile_across_seeds() {
             "seed={seed};engine.dispatch=10%panic;engine.dispatch=15%error;\
              engine.dispatch=10%delay(3);pool.region=10%panic"
         );
-        let guard = faultpoint::configure(&spec).expect("valid spec");
+        faults.arm(&spec).expect("valid spec");
         let outcomes: Vec<Result<u32, Error>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|submitter: usize| {
@@ -358,7 +374,7 @@ fn mixed_faults_at_every_engine_fail_point_reconcile_across_seeds() {
                 .flat_map(|handle| handle.join().expect("submitter never stranded"))
                 .collect()
         });
-        drop(guard);
+        faults.disarm();
 
         for outcome in &outcomes {
             assert!(

@@ -31,9 +31,14 @@
 //! - the `GRAPHHD_FAULTS` environment variable (registered in
 //!   `docs/ENV.md`), read once on first evaluation — the route the CI
 //!   chaos matrix uses;
-//! - [`configure`], which parses the same grammar and returns a
-//!   [`FaultGuard`] that serializes configuration across tests in one
-//!   process and restores the environment-derived plan when dropped.
+//! - a [`FaultGuard`], which a test holds for its *whole* body. The
+//!   plan is process-global, so a guard takes a process-wide lock (one
+//!   guarded test runs at a time) and starts with nothing armed;
+//!   [`FaultGuard::arm`] parses the same grammar and installs it, and
+//!   [`FaultGuard::disarm`] clears it again. Because the lock is held
+//!   across the fault-free phases too, no test's clean phase can run
+//!   while a sibling test's plan is armed. Dropping the guard restores
+//!   the environment-derived plan.
 //!
 //! The grammar is a `;`-separated list of `key=value` clauses:
 //!
@@ -53,13 +58,16 @@
 //! # Examples
 //!
 //! ```
-//! // Nothing configured: the point is inert.
+//! use faultpoint::FaultGuard;
+//!
+//! let guard = FaultGuard::acquire();
+//! // Nothing armed yet: the point is inert.
 //! assert!(!faultpoint::inject("doc.example"));
 //!
-//! // Arm it at 100% error for this scope.
-//! let guard = faultpoint::configure("seed=1;doc.example=error").expect("valid spec");
+//! // Arm it at 100% error, then lift the plan again.
+//! guard.arm("seed=1;doc.example=error").expect("valid spec");
 //! assert!(faultpoint::inject("doc.example"));
-//! drop(guard);
+//! guard.disarm();
 //! assert!(!faultpoint::inject("doc.example"));
 //! ```
 
@@ -69,7 +77,7 @@ use std::time::Duration;
 
 /// Environment variable carrying the process-wide fault plan (see the
 /// crate docs for the grammar). Read once, on the first fail-point
-/// evaluation; [`configure`] overrides it for a scope.
+/// evaluation; a [`FaultGuard`] overrides it for its lifetime.
 pub const FAULTS_ENV: &str = "GRAPHHD_FAULTS";
 
 /// What an armed fail point does when its rule fires.
@@ -97,8 +105,8 @@ struct Rule {
 }
 
 /// A parsed fault plan: the deterministic seed plus the armed rules.
-/// Parse one with [`Plan::parse`]; install it via [`configure`] or the
-/// `GRAPHHD_FAULTS` environment variable.
+/// Parse one with [`Plan::parse`]; install it via [`FaultGuard::arm`]
+/// or the `GRAPHHD_FAULTS` environment variable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Plan {
     /// Seed mixed into every fire/skip decision.
@@ -225,7 +233,7 @@ const ON: u8 = 2;
 
 static FLAG: AtomicU8 = AtomicU8::new(UNINIT);
 static STATE: Mutex<Option<ActivePlan>> = Mutex::new(None);
-/// Serializes [`configure`] scopes across tests in one process.
+/// Held by every live [`FaultGuard`], so guarded scopes never overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn state_lock() -> MutexGuard<'static, Option<ActivePlan>> {
@@ -327,7 +335,7 @@ pub fn inject(point: &str) -> bool {
 fn inject_cold(point: &str) -> bool {
     if FLAG.load(Ordering::Relaxed) == UNINIT {
         // First evaluation in the process: adopt the environment plan.
-        // configure() may later replace it.
+        // A FaultGuard may later replace it.
         install(plan_from_env());
         if FLAG.load(Ordering::Relaxed) == OFF {
             return false;
@@ -387,9 +395,15 @@ macro_rules! fail_point {
     };
 }
 
-/// Scope guard returned by [`configure`]: holds the process-wide
-/// configuration lock (serializing chaos tests) and restores the
-/// environment-derived plan when dropped.
+/// Exclusive hold on the process-wide fault plan, for the lifetime of
+/// a test.
+///
+/// [`acquire`](Self::acquire) blocks until no other guard is alive, then
+/// installs an empty plan. The holder arms and disarms plans through
+/// the guard; dropping it restores the environment-derived plan. A test
+/// takes one guard before anything that evaluates a fail point — its
+/// setup and fault-free phases included — so a sibling test's plan can
+/// never fire inside it.
 pub struct FaultGuard {
     _serial: MutexGuard<'static, ()>,
 }
@@ -400,27 +414,40 @@ impl std::fmt::Debug for FaultGuard {
     }
 }
 
+impl FaultGuard {
+    /// Waits for every other guard to drop, then takes the hold with
+    /// nothing armed.
+    #[must_use]
+    pub fn acquire() -> Self {
+        // A test that panicked while holding the serial lock has already
+        // reported its failure; later tests proceed with a clean install.
+        let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        install(None);
+        Self { _serial: serial }
+    }
+
+    /// Parses `spec` and installs it as the active plan, replacing any
+    /// plan this guard armed before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] for a malformed spec; the active plan is
+    /// left unchanged.
+    pub fn arm(&self, spec: &str) -> Result<(), ParseError> {
+        install(Some(Plan::parse(spec)?));
+        Ok(())
+    }
+
+    /// Lifts the active plan: every fail point is inert again.
+    pub fn disarm(&self) {
+        install(None);
+    }
+}
+
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         install(plan_from_env());
     }
-}
-
-/// Parses `spec` and installs it as the active plan for the lifetime of
-/// the returned [`FaultGuard`]. Guards serialize: a second `configure`
-/// (from another test thread) blocks until the first guard drops, so
-/// concurrent tests never see each other's faults.
-///
-/// # Errors
-///
-/// Returns [`ParseError`] for a malformed spec; nothing is installed.
-pub fn configure(spec: &str) -> Result<FaultGuard, ParseError> {
-    let plan = Plan::parse(spec)?;
-    // A test that panicked while holding the serial lock has already
-    // reported its failure; later tests proceed with a clean install.
-    let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    install(Some(plan));
-    Ok(FaultGuard { _serial: serial })
 }
 
 #[cfg(test)]
@@ -482,18 +509,54 @@ mod tests {
     }
 
     #[test]
-    fn error_injection_is_scoped_by_the_guard() {
+    fn error_injection_is_scoped_by_arm_and_disarm() {
+        let guard = FaultGuard::acquire();
         assert!(!inject("test.scoped"));
-        let guard = configure("seed=1;test.scoped=error").expect("valid spec");
+        guard.arm("seed=1;test.scoped=error").expect("valid spec");
         assert!(inject("test.scoped"));
         assert!(!inject("test.other"), "unarmed points stay inert");
-        drop(guard);
+        guard.disarm();
         assert!(!inject("test.scoped"));
+        assert!(guard.arm("test.scoped=explode").is_err());
+        assert!(!inject("test.scoped"), "a malformed spec arms nothing");
+    }
+
+    #[test]
+    fn a_disarmed_guard_never_observes_another_threads_plan() {
+        use std::sync::mpsc;
+        use std::thread;
+        // A thread that wants to arm while this guard is held must wait
+        // for it: nothing it arms is visible here.
+        let guard = FaultGuard::acquire();
+        let (armed_tx, armed_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let other = thread::spawn(move || {
+            let guard = FaultGuard::acquire();
+            guard.arm("seed=1;test.leak=error").expect("valid spec");
+            armed_tx.send(()).expect("receiver alive");
+            release_rx.recv().expect("sender alive");
+            assert!(inject("test.leak"), "the arming guard sees its plan");
+        });
+        assert!(
+            armed_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "another guard armed while this one was held"
+        );
+        assert!(!inject("test.leak"), "plan leaked into a held guard");
+        drop(guard);
+        // Once the other guard has armed, a new guard starts disarmed
+        // whenever it gets the hold.
+        armed_rx.recv().expect("other thread armed");
+        release_tx.send(()).expect("receiver alive");
+        let guard = FaultGuard::acquire();
+        assert!(!inject("test.leak"), "plan leaked into a new guard");
+        drop(guard);
+        other.join().expect("other thread saw its own plan");
     }
 
     #[test]
     fn panic_injection_panics_with_the_point_name() {
-        let _guard = configure("seed=1;test.panics=panic").expect("valid spec");
+        let guard = FaultGuard::acquire();
+        guard.arm("seed=1;test.panics=panic").expect("valid spec");
         let result = std::panic::catch_unwind(|| inject("test.panics"));
         let payload = result.expect_err("must panic");
         let message = payload
@@ -505,7 +568,8 @@ mod tests {
 
     #[test]
     fn delay_injection_sleeps_then_proceeds() {
-        let _guard = configure("seed=1;test.delay=delay(5)").expect("valid spec");
+        let guard = FaultGuard::acquire();
+        guard.arm("seed=1;test.delay=delay(5)").expect("valid spec");
         let started = std::time::Instant::now();
         assert!(!inject("test.delay"));
         assert!(started.elapsed() >= Duration::from_millis(5));
@@ -513,8 +577,10 @@ mod tests {
 
     #[test]
     fn first_matching_rule_wins_on_stacked_points() {
-        let _guard =
-            configure("seed=1;test.stacked=0%panic;test.stacked=error").expect("valid spec");
+        let guard = FaultGuard::acquire();
+        guard
+            .arm("seed=1;test.stacked=0%panic;test.stacked=error")
+            .expect("valid spec");
         // The 0% panic rule never fires; the error rule always does.
         for _ in 0..10 {
             assert!(inject("test.stacked"));
@@ -527,8 +593,9 @@ mod tests {
             fail_point!("test.macro", "injected");
             Ok(42)
         }
+        let guard = FaultGuard::acquire();
         assert_eq!(op(), Ok(42));
-        let _guard = configure("seed=1;test.macro=error").expect("valid spec");
+        guard.arm("seed=1;test.macro=error").expect("valid spec");
         assert_eq!(op(), Err("injected"));
     }
 }

@@ -1,23 +1,30 @@
 //! The GraphHD graph encoder (paper Section IV-B/IV-C, Figure 2).
 
-use crate::strategy::{self, GraphEncodingStrategy};
-use crate::{EncoderKind, Error, GraphHdConfig};
-use graphcore::Graph;
-use hdvec::{Accumulator, Hypervector, ItemMemory};
+use crate::{CentralityKind, EncoderKind, Error, GraphHdConfig};
+use graphcore::{degree_centrality, pagerank_ranks, ranks_by_score, similarity, Graph};
+use hdvec::{BitSliceAccumulator, Hypervector, ItemMemory, LevelMemory};
 use parallel::{Pool, PoolHandle};
+use prng::mix_seed;
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-/// Encodes graphs into hypervectors through the configured
-/// [`GraphEncodingStrategy`]. Under the default
-/// [`EncoderKind::Centrality`] this is the paper's recipe: PageRank ranks
-/// select basis vertex hypervectors, edges bind their endpoints, and the
-/// edge hypervectors are bundled into the graph hypervector.
+/// Seed stream for the level memory of
+/// [`EncoderKind::VertexSimilarity`], independent from the basis item
+/// memory (which uses the config seed directly) and from the label
+/// memory of [`crate::labeled`].
+const LEVEL_SEED_STREAM: u64 = 0x1E_5E1;
+
+/// Encodes graphs into hypervectors with the configured [`EncoderKind`].
+/// Under the default [`EncoderKind::Centrality`] this is the paper's
+/// recipe: PageRank ranks select basis vertex hypervectors, edges bind
+/// their endpoints, and the edge hypervectors are bundled into the graph
+/// hypervector. The other kinds change only the ranking, the vertex
+/// hypervector and the edge weight; every kind runs the same edge loop.
 ///
 /// The same encoder instance (same config/seed) **must** be used for
 /// training and inference — the paper emphasises that `Enc` is shared —
-/// and because every strategy is a pure function of the config, encoders
-/// constructed from equal configs agree across machines.
+/// and because encoding is a pure function of the config and the graph,
+/// encoders constructed from equal configs agree across machines.
 ///
 /// # Examples
 ///
@@ -36,14 +43,15 @@ use std::sync::Arc;
 pub struct GraphEncoder {
     config: GraphHdConfig,
     memory: ItemMemory,
-    strategy: Arc<dyn GraphEncodingStrategy>,
+    /// The similarity levels of [`EncoderKind::VertexSimilarity`]
+    /// (`None` for the other kinds), shared by clones.
+    levels: Option<Arc<LevelMemory>>,
     pool: PoolHandle,
 }
 
 impl GraphEncoder {
-    /// Creates an encoder from a configuration, building the strategy
-    /// its [`EncoderKind`] selects. Batch operations run on the
-    /// process-wide [`Pool::global`] unless [`with_pool`] selects an
+    /// Creates an encoder from a configuration. Batch operations run on
+    /// the process-wide [`Pool::global`] unless [`with_pool`] selects an
     /// explicit one.
     ///
     /// [`with_pool`]: Self::with_pool
@@ -53,13 +61,23 @@ impl GraphEncoder {
     /// Returns [`Error::ZeroDimension`] if `config.dim == 0` (the
     /// underlying [`hdvec::HdvError`] is routed through the crate's
     /// unified error type instead of leaking across the boundary) and
-    /// [`Error::InvalidEncoderConfig`] for degenerate strategy
+    /// [`Error::InvalidEncoderConfig`] for degenerate [`EncoderKind`]
     /// parameters.
     pub fn new(config: GraphHdConfig) -> Result<Self, Error> {
+        let memory = ItemMemory::new(config.dim, config.seed)?;
+        config.encoder.validate()?;
+        let levels = match config.encoder {
+            EncoderKind::VertexSimilarity { levels } => Some(Arc::new(LevelMemory::new(
+                config.dim,
+                levels as usize,
+                mix_seed(config.seed, LEVEL_SEED_STREAM),
+            )?)),
+            EncoderKind::Centrality | EncoderKind::EdgeWeighted { .. } => None,
+        };
         Ok(Self {
-            memory: ItemMemory::new(config.dim, config.seed)?,
-            strategy: strategy::build_strategy(&config)?,
             config,
+            memory,
+            levels,
             pool: PoolHandle::Global,
         })
     }
@@ -105,51 +123,107 @@ impl GraphEncoder {
         &self.memory
     }
 
-    /// The encoding strategy built from the config's [`EncoderKind`].
-    #[must_use]
-    pub fn strategy(&self) -> &dyn GraphEncodingStrategy {
-        self.strategy.as_ref()
-    }
-
-    /// The strategy kind (including its parameters) this encoder runs.
+    /// The encoder kind (including its parameters) this encoder runs.
     #[must_use]
     pub fn kind(&self) -> EncoderKind {
-        self.strategy.kind()
+        self.config.encoder
     }
 
     /// Computes the *centrality* vertex identifiers (ranks) of a graph.
     ///
     /// Rank 0 is the most central vertex; ties are broken by vertex id,
     /// the deterministic convention adopted suite-wide. This ranking is
-    /// always the centrality one, independent of the encoder strategy —
-    /// it backs the strategy-agnostic [`labeled`](crate::labeled)
-    /// extension and the centrality ablations.
+    /// always the centrality one, independent of the encoder kind — it
+    /// backs the [`labeled`](crate::labeled) extension and the
+    /// centrality ablations.
     #[must_use]
     pub fn vertex_ranks(&self, graph: &Graph) -> Vec<u32> {
-        strategy::centrality_ranks(graph, &self.config)
-    }
-
-    /// Encodes a graph into the edge-bundle accumulator (exposed so that
-    /// callers needing raw counts — e.g. soft-similarity ablations — avoid
-    /// re-encoding). Delegates to the configured strategy.
-    ///
-    /// An edgeless graph yields an empty accumulator; [`encode`]
-    /// thresholds it to the deterministic tie-break pattern, so all
-    /// edgeless graphs share one neutral hypervector.
-    ///
-    /// [`encode`]: Self::encode
-    #[must_use]
-    pub fn encode_to_accumulator(&self, graph: &Graph) -> Accumulator {
-        self.strategy.encode_to_accumulator(graph)
+        match self.config.centrality {
+            CentralityKind::PageRank => pagerank_ranks(graph, &self.config.pagerank),
+            CentralityKind::Degree => ranks_by_score(&degree_centrality(graph)),
+            CentralityKind::VertexId => (0..graph.vertex_count() as u32).collect(),
+        }
     }
 
     /// Encodes a graph into its bipolar graph hypervector — the `Enc_G`
     /// of the paper.
+    ///
+    /// An edgeless graph bundles nothing and thresholds to the
+    /// deterministic tie-break pattern, so all edgeless graphs share one
+    /// neutral hypervector.
     #[must_use]
     pub fn encode(&self, graph: &Graph) -> Hypervector {
         crate::metrics::metrics().graphs_encoded.inc();
-        self.encode_to_accumulator(graph)
-            .to_hypervector(self.config.tie_break)
+        let basis = |rank: u32| self.memory.hypervector(u64::from(rank));
+        match self.config.encoder {
+            EncoderKind::Centrality => {
+                let ranks = self.vertex_ranks(graph);
+                self.bundle_edges(graph, &ranks, 0, |v| basis(ranks[v]), |_, _| 1)
+            }
+            EncoderKind::VertexSimilarity { .. } => {
+                // Identity by similarity rank, correlation by similarity
+                // magnitude: H_rank(rank) ⊗ H_level(quantize(score)).
+                let levels = self.levels.as_deref().expect("built for this kind");
+                let scores = similarity::neighborhood_similarity(graph);
+                let ranks = ranks_by_score(&scores);
+                let vertex = |v: usize| {
+                    let mut hv = basis(ranks[v]);
+                    hv.bind_assign(levels.hypervector(levels.quantize(scores[v])));
+                    hv
+                };
+                self.bundle_edges(graph, &ranks, 1, vertex, |_, _| 1)
+            }
+            EncoderKind::EdgeWeighted { weight_cap } => {
+                // One vote plus one per closed triangle, capped.
+                let ranks = self.vertex_ranks(graph);
+                let cap = weight_cap as usize - 1;
+                let weight = |u, v| 1 + graph.common_neighbors(u, v).min(cap) as u32;
+                self.bundle_edges(graph, &ranks, 0, |v| basis(ranks[v]), weight)
+            }
+        }
+    }
+
+    /// The one edge loop of every encoder: orients each edge as (lower
+    /// rank, higher rank), binds the lower end's `vertex` hypervector with
+    /// the higher end's rotated by `high_shift` (bind is XOR, so only a
+    /// rotation depends on the orientation), adds the edge with its
+    /// `weight` into bit-sliced counters, and thresholds the planes
+    /// straight into the graph hypervector.
+    ///
+    /// `ranks` must be a permutation of the vertices. `vertex(v)` runs at
+    /// most once per vertex and role; a per-graph cache serves every
+    /// further edge at that vertex. `weight(u, v)` sees the edge as the
+    /// graph lists it.
+    pub(crate) fn bundle_edges(
+        &self,
+        graph: &Graph,
+        ranks: &[u32],
+        high_shift: usize,
+        mut vertex: impl FnMut(usize) -> Hypervector,
+        mut weight: impl FnMut(u32, u32) -> u32,
+    ) -> Hypervector {
+        let dim = self.config.dim;
+        let mut acc = BitSliceAccumulator::new(dim).expect("dimension validated at construction");
+        let mut edge = Hypervector::positive(dim).expect("dimension validated at construction");
+        let n = graph.vertex_count();
+        let mut low: Vec<Option<Hypervector>> = vec![None; n];
+        let mut high: Vec<Option<Hypervector>> = vec![None; if high_shift == 0 { 0 } else { n }];
+        for (u, v) in graph.edges() {
+            let (lo, hi) = if ranks[u as usize] < ranks[v as usize] {
+                (u as usize, v as usize)
+            } else {
+                (v as usize, u as usize)
+            };
+            edge.clone_from(low[lo].get_or_insert_with(|| vertex(lo)));
+            let high_hv = if high_shift == 0 {
+                low[hi].get_or_insert_with(|| vertex(hi))
+            } else {
+                high[hi].get_or_insert_with(|| vertex(hi).permute(high_shift))
+            };
+            edge.bind_assign(high_hv);
+            acc.add_weighted(&edge, weight(u, v));
+        }
+        acc.to_hypervector(self.config.tie_break)
     }
 
     /// Encodes many graphs, parallelised on the encoder's pool. Accepts
@@ -172,6 +246,7 @@ mod tests {
     use super::*;
     use crate::CentralityKind;
     use graphcore::{generate, GraphBuilder};
+    use hdvec::{Accumulator, TieBreak};
     use prng::{WordRng, Xoshiro256PlusPlus};
 
     fn encoder(dim: usize) -> GraphEncoder {
@@ -273,16 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_count_is_reflected_in_accumulator() {
-        let e = encoder(1024);
-        let g = generate::cycle(9);
-        let acc = e.encode_to_accumulator(&g);
-        assert_eq!(acc.added(), 9);
-        let empty = e.encode_to_accumulator(&graphcore::Graph::empty(5));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn edgeless_graphs_share_a_neutral_encoding() {
         let e = encoder(512);
         let a = e.encode(&graphcore::Graph::empty(3));
@@ -331,8 +396,7 @@ mod tests {
             )
             .expect("valid config");
             assert_eq!(e.kind(), kind);
-            assert_eq!(e.strategy().name(), kind.name());
-            // encode/encode_all route through the strategy consistently.
+            // encode/encode_all route through the same edge loop.
             let batch = e.encode_all(&graphs);
             let sequential: Vec<_> = graphs.iter().map(|g| e.encode(g)).collect();
             assert_eq!(batch, sequential, "{kind:?}");
@@ -371,6 +435,106 @@ mod tests {
             })
             .expect("valid config");
             assert_eq!(e.vertex_ranks(&g)[0], 0);
+        }
+    }
+
+    fn kind_encoder(kind: EncoderKind, dim: usize) -> GraphEncoder {
+        GraphEncoder::new(
+            GraphHdConfig::builder()
+                .dim(dim)
+                .with_encoder(kind)
+                .build()
+                .expect("valid config"),
+        )
+        .expect("valid config")
+    }
+
+    const KINDS: [EncoderKind; 3] = [
+        EncoderKind::Centrality,
+        EncoderKind::VertexSimilarity { levels: 16 },
+        EncoderKind::EdgeWeighted { weight_cap: 4 },
+    ];
+
+    #[test]
+    fn every_kind_reports_itself_and_is_deterministic() {
+        let g = generate::complete(9);
+        for kind in KINDS {
+            let a = kind_encoder(kind, 1024);
+            assert_eq!(a.kind(), kind);
+            assert_eq!(
+                a.encode(&g),
+                kind_encoder(kind, 1024).encode(&g),
+                "{kind:?}"
+            );
+        }
+    }
+
+    /// K5 with a four-vertex tail: clustered and sparse regions side by
+    /// side, so similarity levels and triangle weights both vary.
+    fn lollipop() -> graphcore::Graph {
+        let mut b = GraphBuilder::new(9);
+        for u in 0..5 {
+            for v in u + 1..5 {
+                b.add_edge(u, v);
+            }
+        }
+        for u in 4..8 {
+            b.add_edge(u, u + 1);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn kinds_disagree_with_each_other() {
+        // The three recipes are genuinely different encoders: on a graph
+        // with non-trivial clustering their hypervectors differ.
+        let g = lollipop();
+        let hvs: Vec<Hypervector> = KINDS
+            .iter()
+            .map(|&k| kind_encoder(k, 2048).encode(&g))
+            .collect();
+        assert_ne!(hvs[0], hvs[1]);
+        assert_ne!(hvs[0], hvs[2]);
+        assert_ne!(hvs[1], hvs[2]);
+    }
+
+    #[test]
+    fn edge_weights_apply_only_where_triangles_close() {
+        // A cap of 1 forces every weight to 1, which must reproduce the
+        // unweighted centrality encoding exactly (same ranks, same basis).
+        let centrality = kind_encoder(EncoderKind::Centrality, 512);
+        let unit_cap = kind_encoder(EncoderKind::EdgeWeighted { weight_cap: 1 }, 512);
+        let weighted = kind_encoder(EncoderKind::edge_weighted(), 512);
+        for g in [generate::complete(9), generate::star(12), generate::path(7)] {
+            assert_eq!(centrality.encode(&g), unit_cap.encode(&g));
+        }
+        // Triangle-free graphs get no boost, and equal weights on every
+        // edge leave the majority unchanged; mixed weights change it.
+        for g in [generate::star(6), generate::complete(6)] {
+            assert_eq!(weighted.encode(&g), centrality.encode(&g));
+        }
+        assert_ne!(weighted.encode(&lollipop()), centrality.encode(&lollipop()));
+    }
+
+    #[test]
+    fn vertex_similarity_distinguishes_clustering_patterns() {
+        // Complete vs path: wildly different similarity profiles.
+        let e = kind_encoder(EncoderKind::vertex_similarity(), 10_000);
+        let a = e.encode(&generate::complete(10));
+        let b = e.encode(&generate::path(10));
+        assert!(a.cosine(&b) < 0.6, "cosine {}", a.cosine(&b));
+    }
+
+    #[test]
+    fn edgeless_graphs_encode_to_the_tie_pattern_under_every_kind() {
+        let empty = Accumulator::new(128).expect("valid dimension");
+        for kind in KINDS {
+            let e = kind_encoder(kind, 128);
+            assert_eq!(
+                e.encode(&graphcore::Graph::empty(4)),
+                empty.to_hypervector(TieBreak::default()),
+                "{kind:?}"
+            );
         }
     }
 }

@@ -22,12 +22,13 @@
 //! directions (Section VII): [`retrain`](model::GraphHdModel::retrain)ing,
 //! [`prototypes`] (multiple class-vectors per class), and
 //! [`labeled`] (vertex-label-aware encoding), plus [`noise`] utilities
-//! backing the robustness claims of Sections I–II. The encoding stage
-//! itself is pluggable: [`strategy`] defines the
-//! [`GraphEncodingStrategy`] trait with the paper's centrality recipe
-//! plus VS-Graph-style vertex-similarity and CiliaGraph-style
-//! edge-weighted alternatives, selected via
-//! [`EncoderKind`] on the config builder.
+//! backing the robustness claims of Sections I–II. Besides the paper's
+//! centrality recipe, [`EncoderKind`] on the config builder selects a
+//! VS-Graph-style vertex-similarity or a CiliaGraph-style edge-weighted
+//! encoder ([`strategy`]). Every kind, and the labeled encoder, runs
+//! one edge loop: rank the vertices, bind each edge's end
+//! hypervectors, add the edge with its weight into bit-sliced counters,
+//! and threshold the counters straight into the graph hypervector.
 //!
 //! # Examples
 //!
@@ -76,4 +77,4 @@ pub use encoder::GraphEncoder;
 pub use error::{Error, SnapshotError};
 pub use model::{GraphHdModel, RetrainReport};
 pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use strategy::{EncoderKind, GraphEncodingStrategy};
+pub use strategy::EncoderKind;

@@ -1,12 +1,15 @@
-//! Differential properties of the pluggable encoder strategies: every
-//! strategy is deterministic under a fixed seed, bit-identical across
-//! thread counts, and survives a snapshot round trip with its identity
-//! intact.
+//! Differential properties of the encoder kinds: every kind matches its
+//! naive i32-counter reference bit for bit, is deterministic under a
+//! fixed seed, bit-identical across thread counts, and survives a
+//! snapshot round trip with its identity intact.
+
+mod reference;
 
 use graphcore::{generate, Graph};
+use graphhd::labeled::LabeledGraphEncoder;
 use graphhd::{EncoderKind, GraphEncoder, GraphHdConfig, GraphHdModel};
 use parallel::Pool;
-use prng::Xoshiro256PlusPlus;
+use prng::{WordRng, Xoshiro256PlusPlus};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -31,18 +34,52 @@ fn arb_kind() -> impl Strategy<Value = EncoderKind> {
     ]
 }
 
-fn encoder(kind: EncoderKind, seed: u64) -> GraphEncoder {
-    let config = GraphHdConfig::builder()
+fn config(kind: EncoderKind, seed: u64) -> GraphHdConfig {
+    GraphHdConfig::builder()
         .dim(512)
         .seed(seed)
         .with_encoder(kind)
         .build()
-        .expect("valid config");
-    GraphEncoder::new(config).expect("valid config")
+        .expect("valid config")
+}
+
+fn encoder(kind: EncoderKind, seed: u64) -> GraphEncoder {
+    GraphEncoder::new(config(kind, seed)).expect("valid config")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_kind_matches_its_naive_reference(
+        g in arb_graph(),
+        kind in arb_kind(),
+        seed in any::<u64>(),
+    ) {
+        let config = config(kind, seed);
+        prop_assert_eq!(
+            encoder(kind, seed).encode(&g),
+            reference::naive_encode(&config, &g)
+        );
+    }
+
+    #[test]
+    fn labeled_encoder_matches_its_naive_reference(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        alphabet in 1u32..5,
+    ) {
+        let config = config(EncoderKind::Centrality, seed);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let labels: Vec<u32> = (0..g.vertex_count())
+            .map(|_| (rng.next_u64() % u64::from(alphabet)) as u32)
+            .collect();
+        let labeled = LabeledGraphEncoder::new(config).expect("valid config");
+        prop_assert_eq!(
+            labeled.encode(&g, &labels).expect("one label per vertex"),
+            reference::naive_labeled_encode(&config, &g, &labels)
+        );
+    }
 
     #[test]
     fn every_strategy_is_deterministic_under_a_fixed_seed(
@@ -56,10 +93,6 @@ proptest! {
         let a = encoder(kind, seed);
         let b = encoder(kind, seed);
         prop_assert_eq!(a.encode(&g), b.encode(&g));
-        prop_assert_eq!(
-            a.encode_to_accumulator(&g),
-            b.encode_to_accumulator(&g)
-        );
     }
 
     #[test]
@@ -114,7 +147,7 @@ fn the_three_shipped_strategies_disagree_on_a_clustered_graph() {
     let g = generate::erdos_renyi(24, 0.3, &mut rng).expect("valid parameters");
     let encodings: Vec<_> = KINDS
         .iter()
-        .map(|&kind| encoder(kind, 1).encode_to_accumulator(&g))
+        .map(|&kind| encoder(kind, 1).encode(&g))
         .collect();
     for i in 0..KINDS.len() {
         for j in i + 1..KINDS.len() {

@@ -17,20 +17,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn bitsliced_encoding_equals_naive_accumulation(g in arb_graph()) {
-        // The production encoder bundles edges with bit-sliced counters;
-        // re-derive the same accumulator naively and compare exactly.
-        let encoder = GraphEncoder::new(GraphHdConfig::builder().dim(512).build().expect("valid dimension")).expect("valid");
-        let fast = encoder.encode_to_accumulator(&g);
-
+    fn bitsliced_encoding_equals_naive_accumulation(g in arb_graph(), dim in 1usize..600) {
+        // The production encoder bundles edges with bit-sliced counters
+        // and thresholds the planes; re-derive the hypervector from i32
+        // counters and compare exactly, at word-boundary dimensions too.
+        let encoder = GraphEncoder::new(GraphHdConfig::builder().dim(dim).build().expect("valid dimension")).expect("valid");
         let ranks = encoder.vertex_ranks(&g);
-        let mut naive = Accumulator::new(512).expect("valid dimension");
+        let mut naive = Accumulator::new(dim).expect("valid dimension");
         for (u, v) in g.edges() {
             let hu = encoder.memory().hypervector(u64::from(ranks[u as usize]));
             let hv = encoder.memory().hypervector(u64::from(ranks[v as usize]));
             naive.add(&hu.bind(&hv));
         }
-        prop_assert_eq!(fast, naive);
+        prop_assert_eq!(encoder.encode(&g), naive.to_hypervector(encoder.config().tie_break));
     }
 
     #[test]
@@ -55,16 +54,6 @@ proptest! {
 
         let encoder = GraphEncoder::new(GraphHdConfig::builder().dim(256).build().expect("valid dimension")).expect("valid");
         prop_assert_eq!(encoder.encode(&g), encoder.encode(&permuted));
-    }
-
-    #[test]
-    fn accumulator_edge_budget(g in arb_graph()) {
-        let encoder = GraphEncoder::new(GraphHdConfig::builder().dim(128).build().expect("valid dimension")).expect("valid");
-        let acc = encoder.encode_to_accumulator(&g);
-        prop_assert_eq!(acc.added(), g.edge_count() as u64);
-        // Counter magnitudes cannot exceed the number of edges.
-        let m = g.edge_count() as i32;
-        prop_assert!(acc.counts().iter().all(|c| c.abs() <= m));
     }
 
     #[test]

@@ -96,20 +96,6 @@ impl Accumulator {
         &self.counts
     }
 
-    /// Builds an accumulator from raw signed counters and a vote count —
-    /// the conversion target of
-    /// [`BitSliceAccumulator`](crate::BitSliceAccumulator).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdvError::ZeroDimension`] if `counts` is empty.
-    pub fn from_counts(counts: Vec<i32>, added: u64) -> Result<Self, HdvError> {
-        if counts.is_empty() {
-            return Err(HdvError::ZeroDimension);
-        }
-        Ok(Self { counts, added })
-    }
-
     /// Adds one vote of `hv` (+1 components increment, −1 decrement).
     ///
     /// # Panics

@@ -11,16 +11,19 @@
 //! of Schmuck et al. (JETC 2019), which the paper cites as the HDC
 //! efficiency enabler.
 //!
-//! The result converts losslessly to an [`Accumulator`], so thresholding
-//! and tie-breaking behave identically to the reference path; the
+//! Thresholding stays in the planes too: the majority is a bit-sliced
+//! comparison of every dimension's count against ⌊added/2⌋, one pass
+//! over the planes, so no per-dimension counter is ever rebuilt. The
+//! result, ties included, is bit-identical to thresholding an
+//! [`Accumulator`](crate::Accumulator) fed the same votes; the
 //! equivalence is property-tested.
 
-use crate::{Accumulator, HdvError, Hypervector};
+use crate::{HdvError, Hypervector, TieBreak};
 
 /// A bundling accumulator storing per-dimension −1 counts in bit-planes.
 ///
 /// Supports only *addition* of hypervectors (counts are unsigned); for
-/// signed updates (retraining) use [`Accumulator`].
+/// signed updates (retraining) use [`Accumulator`](crate::Accumulator).
 ///
 /// # Examples
 ///
@@ -32,13 +35,18 @@ use crate::{Accumulator, HdvError, Hypervector};
 /// let mut reference = Accumulator::new(10_000)?;
 /// for i in 0..9 {
 ///     let hv = memory.hypervector(i);
-///     fast.add(&hv);
-///     reference.add(&hv);
+///     fast.add_weighted(&hv, 3);
+///     reference.add_weighted(&hv, 3);
 /// }
-/// assert_eq!(fast.to_accumulator(), reference);
+/// let tie = TieBreak::default();
+/// assert_eq!(fast.to_hypervector(tie), reference.to_hypervector(tie));
 /// # Ok::<(), hdvec::HdvError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// There is no `PartialEq`: equal bundles can differ in their
+/// zero-valued top planes and in the scratch carry buffer, so compare
+/// [`to_hypervector`](Self::to_hypervector) outputs instead.
+#[derive(Debug, Clone)]
 pub struct BitSliceAccumulator {
     dim: usize,
     words: usize,
@@ -76,7 +84,7 @@ impl BitSliceAccumulator {
         self.dim
     }
 
-    /// Number of hypervectors bundled so far.
+    /// Number of votes bundled so far (the sum of the weights added).
     #[must_use]
     pub fn added(&self) -> u64 {
         self.added
@@ -95,6 +103,17 @@ impl BitSliceAccumulator {
     ///
     /// Panics if the dimensions differ.
     pub fn add(&mut self, hv: &Hypervector) {
+        self.add_weighted(hv, 1);
+    }
+
+    /// Adds `weight` votes of `hv` at once: for each set bit j of
+    /// `weight`, a ripple-carry add of `hv` starting at plane j. A weight
+    /// of 0 adds nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn add_weighted(&mut self, hv: &Hypervector, weight: u32) {
         assert_eq!(
             self.dim,
             hv.dim(),
@@ -102,8 +121,26 @@ impl BitSliceAccumulator {
             hv.dim(),
             self.dim
         );
-        self.carry.copy_from_slice(hv.words());
-        for plane in &mut self.planes {
+        let mut bits = weight;
+        while bits != 0 {
+            let start = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.planes.len() < start {
+                self.planes.resize(start, vec![0u64; self.words]);
+            }
+            self.carry.copy_from_slice(hv.words());
+            if !self.ripple_from(start) {
+                // Carry overflowed the top plane: grow by one.
+                self.planes.push(self.carry.clone());
+            }
+        }
+        self.added += u64::from(weight);
+    }
+
+    /// Ripples the carry buffer into the planes from `start` upward;
+    /// returns whether the carry was absorbed.
+    fn ripple_from(&mut self, start: usize) -> bool {
+        for plane in &mut self.planes[start..] {
             let mut any_carry = 0u64;
             for (p, c) in plane.iter_mut().zip(&mut self.carry) {
                 let sum = *p ^ *c;
@@ -113,49 +150,59 @@ impl BitSliceAccumulator {
                 any_carry |= out;
             }
             if any_carry == 0 {
-                self.added += 1;
-                return;
+                return true;
             }
         }
-        // Carry overflowed the top plane: grow by one.
-        self.planes.push(self.carry.clone());
-        self.added += 1;
+        false
     }
 
-    /// Reconstructs the per-dimension −1 counts.
+    /// Thresholds the bundle into a bipolar hypervector: dimension i is
+    /// −1 where its −1 count exceeds half the votes, +1 where it falls
+    /// short, and `tie_break` decides exact halves (possible only after
+    /// an even number of votes). Identical to thresholding an
+    /// [`Accumulator`](crate::Accumulator) fed the same votes.
+    ///
+    /// The comparison against `h = ⌊added/2⌋` runs bit-sliced from the
+    /// top plane down, 64 dimensions per word operation.
     #[must_use]
-    pub fn negative_counts(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.dim];
-        for (k, plane) in self.planes.iter().enumerate() {
-            for (w, &bits) in plane.iter().enumerate() {
-                let mut remaining = bits;
-                while remaining != 0 {
-                    let bit = remaining.trailing_zeros() as usize;
-                    let index = w * 64 + bit;
-                    if index < self.dim {
-                        counts[index] += 1 << k;
-                    }
-                    remaining &= remaining - 1;
+    pub fn to_hypervector(&self, tie_break: TieBreak) -> Hypervector {
+        let half = self.added / 2;
+        // Counts are below 2^planes; a larger `half` is above them all.
+        let above_all = half
+            .checked_shr(self.planes.len() as u32)
+            .is_some_and(|high| high != 0);
+        let mut greater = vec![0u64; self.words];
+        let mut less = vec![if above_all { !0u64 } else { 0 }; self.words];
+        for (k, plane) in self.planes.iter().enumerate().rev() {
+            if (half >> k) & 1 == 1 {
+                for ((l, g), p) in less.iter_mut().zip(&greater).zip(plane) {
+                    *l |= !(*l | *g | *p);
+                }
+            } else {
+                for ((g, l), p) in greater.iter_mut().zip(&less).zip(plane) {
+                    *g |= !(*g | *l) & *p;
                 }
             }
         }
-        counts
-    }
-
-    /// Converts to the signed-counter representation: dimension i gets
-    /// `added − 2·negative_count(i)` (the +1 votes minus the −1 votes).
-    #[must_use]
-    pub fn to_accumulator(&self) -> Accumulator {
-        let negatives = self.negative_counts();
-        let added = self.added;
-        let counts: Vec<i32> = negatives
-            .into_iter()
-            .map(|n| {
-                i32::try_from(added).expect("bundle sizes fit i32")
-                    - 2 * i32::try_from(n).expect("counts fit i32")
-            })
-            .collect();
-        Accumulator::from_counts(counts, added).expect("dimension validated at construction")
+        if self.added % 2 == 0 {
+            let pattern = match tie_break {
+                TieBreak::Seeded(seed) => Some(Hypervector::tie_pattern(self.dim, seed)),
+                TieBreak::Positive | TieBreak::Negative => None,
+            };
+            let constant = if tie_break == TieBreak::Negative {
+                !0u64
+            } else {
+                0
+            };
+            for (w, (g, l)) in greater.iter_mut().zip(&less).enumerate() {
+                let tie = pattern.as_ref().map_or(constant, |p| p.words()[w]);
+                *g |= !(*g | *l) & tie;
+            }
+        }
+        if let Some(last) = greater.last_mut() {
+            *last &= Hypervector::tail_mask(self.dim);
+        }
+        Hypervector::from_raw(self.dim, greater)
     }
 
     /// Clears all planes.
@@ -168,7 +215,9 @@ impl BitSliceAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ItemMemory, TieBreak};
+    use crate::{Accumulator, ItemMemory};
+
+    const TIES: [TieBreak; 3] = [TieBreak::Positive, TieBreak::Negative, TieBreak::Seeded(5)];
 
     #[test]
     fn zero_dimension_rejected() {
@@ -179,10 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_accumulator_converts_to_zeros() {
-        let acc = BitSliceAccumulator::new(100).unwrap().to_accumulator();
-        assert!(acc.is_empty());
-        assert!(acc.counts().iter().all(|&c| c == 0));
+    fn empty_accumulator_thresholds_to_the_tie_pattern() {
+        let acc = BitSliceAccumulator::new(100).unwrap();
+        let reference = Accumulator::new(100).unwrap();
+        for tie in TIES {
+            assert_eq!(acc.to_hypervector(tie), reference.to_hypervector(tie));
+        }
+        assert_eq!(
+            acc.to_hypervector(TieBreak::Negative),
+            Hypervector::negative(100).unwrap()
+        );
     }
 
     #[test]
@@ -194,15 +249,38 @@ mod tests {
             let hv = memory.hypervector(i);
             fast.add(&hv);
             reference.add(&hv);
+            for tie in TIES {
+                assert_eq!(
+                    fast.to_hypervector(tie),
+                    reference.to_hypervector(tie),
+                    "{} votes, {tie:?}",
+                    i + 1
+                );
+            }
         }
         assert_eq!(fast.added(), 33);
-        assert_eq!(fast.to_accumulator(), reference);
-        // And the thresholded bundles agree for every tie policy.
-        for tie in [TieBreak::Positive, TieBreak::Negative, TieBreak::Seeded(5)] {
-            assert_eq!(
-                fast.to_accumulator().to_hypervector(tie),
-                reference.to_hypervector(tie)
-            );
+    }
+
+    #[test]
+    fn weighted_add_equals_repeated_add() {
+        let memory = ItemMemory::new(200, 8).unwrap();
+        for weight in 0..20u32 {
+            let mut weighted = BitSliceAccumulator::new(200).unwrap();
+            let mut repeated = BitSliceAccumulator::new(200).unwrap();
+            weighted.add(&memory.hypervector(0));
+            repeated.add(&memory.hypervector(0));
+            weighted.add_weighted(&memory.hypervector(1), weight);
+            for _ in 0..weight {
+                repeated.add(&memory.hypervector(1));
+            }
+            assert_eq!(weighted.added(), repeated.added());
+            for tie in TIES {
+                assert_eq!(
+                    weighted.to_hypervector(tie),
+                    repeated.to_hypervector(tie),
+                    "weight {weight}, {tie:?}"
+                );
+            }
         }
     }
 
@@ -218,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_counts_of_constant_vectors() {
+    fn constant_vectors_threshold_to_the_majority_sign() {
         let dim = 130; // crosses word boundaries
         let neg = Hypervector::negative(dim).unwrap();
         let pos = Hypervector::positive(dim).unwrap();
@@ -226,13 +304,14 @@ mod tests {
         for _ in 0..5 {
             acc.add(&neg);
         }
-        for _ in 0..3 {
-            acc.add(&pos);
-        }
-        let counts = acc.negative_counts();
-        assert!(counts.iter().all(|&c| c == 5));
-        let signed = acc.to_accumulator();
-        assert!(signed.counts().iter().all(|&c| c == 8 - 2 * 5));
+        acc.add_weighted(&pos, 3);
+        assert_eq!(acc.to_hypervector(TieBreak::Positive), neg);
+        acc.add_weighted(&pos, 2);
+        // 5 against 5: every dimension ties.
+        assert_eq!(acc.to_hypervector(TieBreak::Positive), pos);
+        assert_eq!(acc.to_hypervector(TieBreak::Negative), neg);
+        acc.add(&pos);
+        assert_eq!(acc.to_hypervector(TieBreak::Negative), pos);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the vectors **word-interleaved** in blocks of
 //! [`BLOCK_LANES`](crate::backend::BLOCK_LANES) lanes — word `w` of the
 //! block's lanes sits at `block[w * BLOCK_LANES + lane]` — so
-//! [`hamming_many`](ClassMemory::hamming_many) streams each query word
+//! [`cosine_many`](ClassMemory::cosine_many) streams each query word
 //! once per block across all of its lanes while the per-lane distance
 //! accumulators stay in registers (or two SIMD vectors on the AVX2
 //! backend). This is the structure-of-arrays "associative memory" layout
@@ -28,10 +28,9 @@ use crate::{HdvError, Hypervector};
 /// let classes: Vec<_> = (0..23).map(|i| items.hypervector(i)).collect();
 /// let memory = ClassMemory::from_vectors(&classes)?;
 /// let query = items.hypervector(3);
-/// let distances = memory.hamming_many(&query);
-/// assert_eq!(distances.len(), 23);
-/// assert_eq!(distances[3], 0);
-/// assert_eq!(memory.cosine_many(&query)[3], 1.0);
+/// let similarities = memory.cosine_many(&query);
+/// assert_eq!(similarities.len(), 23);
+/// assert_eq!(similarities[3], 1.0);
 /// # Ok::<(), hdvec::HdvError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,43 +218,6 @@ impl ClassMemory {
         }
     }
 
-    /// Hamming distance of `query` to every stored vector, in storage
-    /// order, written into `out` (resized to `len()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn hamming_many_into(&self, query: &Hypervector, out: &mut Vec<usize>) {
-        out.clear();
-        out.reserve(self.len);
-        self.distances(query, |d| out.push(d as usize));
-    }
-
-    /// Hamming distance of `query` to every stored vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    #[must_use]
-    pub fn hamming_many(&self, query: &Hypervector) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len);
-        self.hamming_many_into(query, &mut out);
-        out
-    }
-
-    /// Dot product (`d − 2·hamming`) of `query` with every stored vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    #[must_use]
-    pub fn dot_many(&self, query: &Hypervector) -> Vec<i64> {
-        self.hamming_many(query)
-            .into_iter()
-            .map(|h| self.dim as i64 - 2 * h as i64)
-            .collect()
-    }
-
     /// Cosine similarity of `query` with every stored vector, written
     /// into `out` (resized to `len()`). Bit-identical to calling
     /// [`Hypervector::cosine`] per vector.
@@ -331,29 +293,27 @@ mod tests {
     }
 
     #[test]
-    fn hamming_many_matches_pairwise_hamming() {
+    fn cosine_many_matches_pairwise_cosine() {
         for n in [1usize, 2, 7, 8, 9, 23] {
             for dim in [1usize, 64, 65, 1000] {
                 let vs = vectors(dim, n, 3);
                 let memory = ClassMemory::from_vectors(&vs).unwrap();
                 let query = ItemMemory::new(dim, 77).unwrap().hypervector(0);
-                let blocked = memory.hamming_many(&query);
-                let naive: Vec<usize> = vs.iter().map(|v| v.hamming(&query)).collect();
+                let blocked = memory.cosine_many(&query);
+                let naive: Vec<f64> = vs.iter().map(|v| v.cosine(&query)).collect();
                 assert_eq!(blocked, naive, "n={n} dim={dim}");
             }
         }
     }
 
     #[test]
-    fn cosine_and_dot_match_pairwise() {
+    fn cosine_matches_pairwise_at_paper_dimension() {
         let vs = vectors(10_000, 23, 4);
         let memory = ClassMemory::from_vectors(&vs).unwrap();
         let query = ItemMemory::new(10_000, 5).unwrap().hypervector(9);
         let cosines = memory.cosine_many(&query);
-        let dots = memory.dot_many(&query);
         for (i, v) in vs.iter().enumerate() {
             assert_eq!(cosines[i], v.cosine(&query), "cosine {i}");
-            assert_eq!(dots[i], v.dot(&query), "dot {i}");
         }
     }
 
@@ -368,19 +328,16 @@ mod tests {
             assert_eq!(memory.get(i), v, "lane {i} must be untouched");
         }
         let query = ItemMemory::new(500, 8).unwrap().hypervector(0);
-        assert_eq!(memory.hamming_many(&query)[9], replacement.hamming(&query));
+        assert_eq!(memory.cosine_many(&query)[9], replacement.cosine(&query));
     }
 
     #[test]
-    fn into_variants_reuse_buffers() {
+    fn cosine_many_into_reuses_the_buffer() {
         let vs = vectors(256, 3, 9);
         let memory = ClassMemory::from_vectors(&vs).unwrap();
         let query = ItemMemory::new(256, 10).unwrap().hypervector(0);
-        let mut hams = vec![123usize; 17];
         let mut cosines = vec![9.0f64; 17];
-        memory.hamming_many_into(&query, &mut hams);
         memory.cosine_many_into(&query, &mut cosines);
-        assert_eq!(hams, memory.hamming_many(&query));
         assert_eq!(cosines, memory.cosine_many(&query));
     }
 
@@ -389,7 +346,7 @@ mod tests {
     fn query_dimension_mismatch_panics() {
         let memory = ClassMemory::from_vectors(&vectors(128, 2, 11)).unwrap();
         let query = ItemMemory::new(64, 1).unwrap().hypervector(0);
-        let _ = memory.hamming_many(&query);
+        let _ = memory.cosine_many(&query);
     }
 
     #[test]

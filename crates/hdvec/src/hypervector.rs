@@ -36,7 +36,7 @@ impl Hypervector {
     }
 
     /// Mask with ones at every valid bit position of the final word.
-    fn tail_mask(dim: usize) -> u64 {
+    pub(crate) fn tail_mask(dim: usize) -> u64 {
         match dim % 64 {
             0 => !0u64,
             r => (1u64 << r) - 1,
@@ -482,8 +482,8 @@ impl Hypervector {
     }
 
     /// A deterministic "tie-break" hypervector derived from `seed`; used by
-    /// [`Accumulator::to_hypervector`](crate::Accumulator::to_hypervector)
-    /// to resolve majority ties pseudo-randomly but reproducibly.
+    /// both accumulators' `to_hypervector` to resolve majority ties
+    /// pseudo-randomly but reproducibly.
     pub(crate) fn tie_pattern(dim: usize, seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         let mut words: Vec<u64> = (0..Self::word_count(dim)).map(|_| sm.next_u64()).collect();

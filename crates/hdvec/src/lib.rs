@@ -9,10 +9,13 @@
 //! - [`Accumulator`] — signed per-dimension counters implementing
 //!   **bundling** (element-wise majority voting) exactly, including explicit
 //!   [`TieBreak`] policies for the even-count ties the paper leaves
-//!   unspecified.
+//!   unspecified. Training bundles here, because retraining subtracts.
+//! - [`BitSliceAccumulator`] — the encode-time bundler: counts held in
+//!   bit-planes, added and thresholded 64 dimensions per word operation,
+//!   bit-identical to the [`Accumulator`] it replaces there.
 //! - [`Hypervector::permute`] — the **permutation** operation (circular
 //!   shift), completing Kanerva's operation triple.
-//! - [`ItemMemory`] / [`CachedItemMemory`] — deterministic basis
+//! - [`ItemMemory`] — deterministic basis
 //!   ("item") hypervector generation: the hypervector for symbol *i* is a
 //!   pure function of `(seed, i)`, so independent processes agree on the
 //!   basis without sharing state.
@@ -68,7 +71,7 @@ pub use bitslice::BitSliceAccumulator;
 pub use class_memory::ClassMemory;
 pub use error::HdvError;
 pub use hypervector::Hypervector;
-pub use item_memory::{CachedItemMemory, ItemMemory};
+pub use item_memory::ItemMemory;
 pub use level_memory::LevelMemory;
 
 /// The hypervector dimensionality used by the paper in all experiments

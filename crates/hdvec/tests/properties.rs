@@ -133,19 +133,26 @@ proptest! {
     }
 
     #[test]
-    fn bitslice_equals_reference_accumulation((dim, seed) in dim_and_seed(), n in 0usize..40) {
-        // The bit-sliced vertical-counter bundle must agree exactly with
-        // the i32-counter reference for any bundle size, including the
-        // plane-growth boundaries (powers of two).
+    fn bitslice_threshold_equals_reference_threshold(
+        (dim, seed) in dim_and_seed(),
+        weights in prop::collection::vec(1u32..10, 0..40),
+        tie_seed in any::<u64>(),
+    ) {
+        // The bit-sliced bundle, thresholded straight from its planes,
+        // must equal the i32-counter reference for any bundle size and
+        // weights, including the plane-growth boundaries and every tie
+        // policy.
         let mut fast = BitSliceAccumulator::new(dim).expect("non-zero dimension");
         let mut reference = Accumulator::new(dim).expect("non-zero dimension");
-        for i in 0..n {
+        for (i, &weight) in weights.iter().enumerate() {
             let v = vector(dim, seed, i as u64);
-            fast.add(&v);
-            reference.add(&v);
+            fast.add_weighted(&v, weight);
+            reference.add_weighted(&v, weight as i32);
         }
-        prop_assert_eq!(fast.added(), n as u64);
-        prop_assert_eq!(fast.to_accumulator(), reference);
+        prop_assert_eq!(fast.added(), reference.added());
+        for tie in [TieBreak::Positive, TieBreak::Negative, TieBreak::Seeded(tie_seed)] {
+            prop_assert_eq!(fast.to_hypervector(tie), reference.to_hypervector(tie));
+        }
     }
 
     #[test]
@@ -154,5 +161,50 @@ proptest! {
         let mut rng = prng::Xoshiro256PlusPlus::seed_from_u64(seed ^ 0xABCD);
         let noisy = a.with_noise(rate, &mut rng);
         prop_assert!(a.hamming(&noisy) <= dim);
+    }
+}
+
+/// The bit-slice comparator against naive i32 bundling over a fixed
+/// grid: word-boundary dimensions up to the paper's d, every bundle size
+/// 0..40 (even and odd, across the plane-growth boundaries), every
+/// uniform weight 1..9 plus a mixed-weight sequence, and random,
+/// all-positive and all-negative inputs, under all three tie policies.
+#[test]
+fn bitslice_threshold_matches_naive_bundling_on_a_fixed_grid() {
+    for dim in [1usize, 63, 64, 65, 130, 10_000] {
+        let memory = ItemMemory::new(dim, 0xB175).expect("non-zero dimension");
+        let positive = Hypervector::positive(dim).expect("non-zero dimension");
+        let negative = Hypervector::negative(dim).expect("non-zero dimension");
+        for source in ["random", "all-positive", "all-negative"] {
+            // Weighting 0 is the mixed sequence; 1..=9 are uniform.
+            for weighting in 0..=9u32 {
+                let mut fast = BitSliceAccumulator::new(dim).expect("non-zero dimension");
+                let mut reference = Accumulator::new(dim).expect("non-zero dimension");
+                for size in 0..=40u64 {
+                    for tie in [
+                        TieBreak::Positive,
+                        TieBreak::Negative,
+                        TieBreak::Seeded(0x71E),
+                    ] {
+                        assert_eq!(
+                            fast.to_hypervector(tie),
+                            reference.to_hypervector(tie),
+                            "dim {dim}, {source}, weighting {weighting}, {size} vectors, {tie:?}"
+                        );
+                    }
+                    let hv = match source {
+                        "random" => memory.hypervector(size),
+                        "all-positive" => positive.clone(),
+                        _ => negative.clone(),
+                    };
+                    let weight = match weighting {
+                        0 => 1 + (size as u32 * 7) % 9,
+                        w => w,
+                    };
+                    fast.add_weighted(&hv, weight);
+                    reference.add_weighted(&hv, weight as i32);
+                }
+            }
+        }
     }
 }

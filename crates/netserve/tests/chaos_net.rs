@@ -113,6 +113,9 @@ fn drive_traffic(addr: std::net::SocketAddr, graph: &Graph, requests: usize, con
 }
 
 fn run_scenario(point_spec: &str) {
+    // Held for the whole scenario: fitting, serving and the
+    // after-the-storm checks never run under a sibling test's plan.
+    let faults = faultpoint::FaultGuard::acquire();
     for seed in seeds() {
         let registry = Arc::new(ModelRegistry::new());
         registry.insert("m", fit_engine(seed + 20)).expect("insert");
@@ -123,20 +126,20 @@ fn run_scenario(point_spec: &str) {
         let graph = generate::complete(7);
         let context = format!("seed={seed};{point_spec}");
 
-        {
-            let _guard = faultpoint::configure(&format!("seed={seed};{point_spec}"))
-                .expect("valid fault spec");
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    let graph = graph.clone();
-                    let context = context.clone();
-                    std::thread::spawn(move || drive_traffic(addr, &graph, 25, &context))
-                })
-                .collect();
-            for worker in workers {
-                worker.join().expect("traffic thread must not panic");
-            }
+        faults
+            .arm(&format!("seed={seed};{point_spec}"))
+            .expect("valid fault spec");
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let graph = graph.clone();
+                let context = context.clone();
+                std::thread::spawn(move || drive_traffic(addr, &graph, 25, &context))
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("traffic thread must not panic");
         }
+        faults.disarm();
 
         // Plan lifted: the server must still serve a fresh connection,
         // and every slot a faulted connection held must be free again.

@@ -7,7 +7,10 @@ use graphcore::Graph;
 use graphhd::labeled::LabeledGraphEncoder;
 use graphhd::prototypes::{MultiPrototypeModel, PrototypeConfig};
 use graphhd::{EncoderKind, GraphEncoder, GraphHdClassifier, GraphHdConfig, GraphHdModel};
-use hdvec::BitSliceAccumulator;
+use hdvec::Accumulator;
+
+#[path = "../crates/graphhd/tests/reference/mod.rs"]
+mod reference;
 
 fn split(dataset: &datasets::GraphDataset) -> (Vec<usize>, Vec<usize>) {
     let folds = StratifiedKFold::new(4, 3)
@@ -80,12 +83,10 @@ fn multi_prototype_model_runs_on_surrogates() {
     assert!(predictions.iter().all(|&p| p < 6));
 }
 
-/// The pluggable-encoder acceptance test: the extracted centrality
-/// strategy must reproduce the pre-refactor encoder **bit-for-bit** on
-/// surrogate-MUTAG. The reference below is the paper recipe restated
-/// from public primitives only (ranks → basis vectors → edge binds →
-/// bit-sliced bundling), exactly as `GraphEncoder` implemented it before
-/// the strategy layer existed.
+/// The encoder acceptance test: the centrality encoder must reproduce
+/// the paper recipe **bit-for-bit** on surrogate-MUTAG. The reference
+/// below is the recipe restated from public primitives only (ranks →
+/// basis vectors → edge binds → i32-counter bundling → threshold).
 #[test]
 fn centrality_strategy_is_bit_identical_to_the_paper_recipe_on_mutag() {
     let dataset = surrogate::by_name("MUTAG", 29).expect("known dataset");
@@ -99,20 +100,72 @@ fn centrality_strategy_is_bit_identical_to_the_paper_recipe_on_mutag() {
 
     for graph in dataset.graphs() {
         let ranks = encoder.vertex_ranks(graph);
-        let mut reference = BitSliceAccumulator::new(2048).expect("valid dimension");
+        let mut reference = Accumulator::new(2048).expect("valid dimension");
         for (u, v) in graph.edges() {
             let hu = encoder.memory().hypervector(u64::from(ranks[u as usize]));
             let hv = encoder.memory().hypervector(u64::from(ranks[v as usize]));
             reference.add(&hu.bind(&hv));
         }
         assert_eq!(
-            encoder.encode_to_accumulator(graph),
-            reference.to_accumulator()
-        );
-        assert_eq!(
             encoder.encode(graph),
-            reference.to_accumulator().to_hypervector(config.tie_break)
+            reference.to_hypervector(config.tie_break)
         );
+    }
+}
+
+/// Every encoder kind and the labeled encoder match their naive
+/// i32-counter references bit for bit on surrogate-MUTAG, at an odd
+/// dimension (a partial tail word) and under every tie policy.
+#[test]
+fn every_encoder_matches_naive_bundling_on_mutag() {
+    let dataset = surrogate::by_name("MUTAG", 29).expect("known dataset");
+    for tie_break in [
+        hdvec::TieBreak::Positive,
+        hdvec::TieBreak::Negative,
+        hdvec::TieBreak::Seeded(3),
+    ] {
+        for kind in [
+            EncoderKind::Centrality,
+            EncoderKind::vertex_similarity(),
+            EncoderKind::edge_weighted(),
+        ] {
+            let config = GraphHdConfig::builder()
+                .dim(1000)
+                .seed(0xFEED)
+                .tie_break(tie_break)
+                .with_encoder(kind)
+                .build()
+                .expect("valid config");
+            let encoder = GraphEncoder::new(config).expect("valid config");
+            for graph in dataset.graphs() {
+                assert_eq!(
+                    encoder.encode(graph),
+                    reference::naive_encode(&config, graph),
+                    "{} {tie_break:?}",
+                    kind.name()
+                );
+            }
+        }
+        let config = GraphHdConfig::builder()
+            .dim(1000)
+            .seed(0xFEED)
+            .tie_break(tie_break)
+            .build()
+            .expect("valid config");
+        let labeled = LabeledGraphEncoder::new(config).expect("valid config");
+        for graph in dataset.graphs() {
+            // Degree classes stand in for atom types.
+            let labels: Vec<u32> = (0..graph.vertex_count() as u32)
+                .map(|v| graph.degree(v).min(3) as u32)
+                .collect();
+            assert_eq!(
+                labeled
+                    .encode(graph, &labels)
+                    .expect("one label per vertex"),
+                reference::naive_labeled_encode(&config, graph, &labels),
+                "labeled {tie_break:?}"
+            );
+        }
     }
 }
 

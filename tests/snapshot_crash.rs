@@ -9,8 +9,11 @@
 //!
 //! Fault plans are seeded and deterministic: each kill-loop scenario
 //! sweeps seeds {1..5} (or the single seed CI's chaos matrix pins via
-//! `GRAPHHD_FAULTS`).
+//! `GRAPHHD_FAULTS`). Every test that arms a plan holds one
+//! [`FaultGuard`] for its whole body, so its clean saves never run
+//! under a sibling test's plan.
 
+use faultpoint::FaultGuard;
 use graphcore::Graph;
 use graphhd::{Error, GraphHdConfig, GraphHdModel, SnapshotError};
 use proptest::prelude::*;
@@ -81,19 +84,22 @@ fn leftover_temps(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn a_save_killed_before_rename_preserves_the_previous_model() {
+    let faults = FaultGuard::acquire();
     let (model_a, model_b) = two_models();
     for point in ["snapshot.write", "snapshot.rename"] {
         let dir = temp_dir("kill-error");
         let v1 = model_a.save_version(&dir, 0).expect("clean save");
         assert_eq!(v1, 1);
 
-        let guard = faultpoint::configure(&format!("seed=1;{point}=error")).expect("valid spec");
+        faults
+            .arm(&format!("seed=1;{point}=error"))
+            .expect("valid spec");
         let err = model_b.save_version(&dir, 0).expect_err("fault must fire");
         assert!(
             matches!(err, Error::Io { .. }),
             "injected error at {point}: {err:?}"
         );
-        drop(guard);
+        faults.disarm();
 
         // The failed save changed nothing visible and cleaned its temp.
         let (loaded, version) = GraphHdModel::load_latest(&dir).expect("old model intact");
@@ -120,15 +126,18 @@ fn a_save_killed_before_rename_preserves_the_previous_model() {
 
 #[test]
 fn a_save_killed_by_panic_preserves_the_previous_model() {
+    let faults = FaultGuard::acquire();
     let (model_a, model_b) = two_models();
     for point in ["snapshot.write", "snapshot.rename"] {
         let dir = temp_dir("kill-panic");
         model_a.save_version(&dir, 0).expect("clean save");
 
-        let guard = faultpoint::configure(&format!("seed=1;{point}=panic")).expect("valid spec");
+        faults
+            .arm(&format!("seed=1;{point}=panic"))
+            .expect("valid spec");
         let outcome = catch_unwind(AssertUnwindSafe(|| model_b.save_version(&dir, 0)));
         assert!(outcome.is_err(), "panic must escape the save at {point}");
-        drop(guard);
+        faults.disarm();
 
         // A panic skips the error-path cleanup (a real crash would too);
         // recovery must succeed regardless of stray temp files.
@@ -145,6 +154,7 @@ fn a_save_killed_by_panic_preserves_the_previous_model() {
 
 #[test]
 fn a_kill_loop_always_recovers_the_last_successful_save() {
+    let faults = FaultGuard::acquire();
     let (model_a, model_b) = two_models();
     for seed in seeds() {
         let dir = temp_dir("kill-loop");
@@ -154,7 +164,7 @@ fn a_kill_loop_always_recovers_the_last_successful_save() {
         let mut latest = model_a.class_vectors().to_vec();
 
         let spec = format!("seed={seed};snapshot.write=40%error;snapshot.rename=30%panic");
-        let guard = faultpoint::configure(&spec).expect("valid spec");
+        faults.arm(&spec).expect("valid spec");
         for attempt in 0..12 {
             let model = if attempt % 2 == 0 { &model_b } else { &model_a };
             let outcome = catch_unwind(AssertUnwindSafe(|| model.save_version(&dir, 3)));
@@ -171,7 +181,7 @@ fn a_kill_loop_always_recovers_the_last_successful_save() {
                 "seed {seed}, attempt {attempt}"
             );
         }
-        drop(guard);
+        faults.disarm();
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }
